@@ -1,9 +1,10 @@
 """Tests for the persistent worker pool and the cached campaign engine.
 
-The supervision seam (`worker=`) keeps its own tests in
-``test_supervisor.py``; everything here exercises the pool path: worker
-reuse, crash containment, ``pool_map`` determinism, and campaigns that
-are bit-identical across ``jobs`` counts and cache reruns.
+Worker reuse, crash containment, error reporting, retry and timeout on
+the pool (through the ``task_runner`` seam), ``pool_map`` determinism,
+and campaigns that are bit-identical across ``jobs`` counts and cache
+reruns.  The result store and crash-retry tests live in
+``test_supervisor.py``.
 """
 
 import os

@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -43,6 +44,16 @@ def poison_task_runner(spec, resume):
     if spec.name == "poison":
         os._exit(9)
     return "ok:" + spec.name
+
+
+def crash_once_runner(spec, resume):
+    # The first attempt kills its pool worker; the resumed retry hangs
+    # for the task named "hangs" and succeeds for any other.
+    if not resume:
+        os._exit(9)
+    if spec.name == "hangs":
+        time.sleep(60)
+    return "recovered:" + spec.name
 
 
 def self_stopping_runner(spec, resume):
@@ -293,6 +304,41 @@ def test_circuit_breaker_degrades_to_in_process_serial():
         assert outcomes[name].attempts == 3
     assert any("[degraded, contained]" in event for event in events)
     assert any("[degraded, in-process]" in event for event in events)
+
+
+def test_contained_task_recovers_on_resumed_retry():
+    # One crash trips the breaker (circuit_breaker=1), so the retry of
+    # the crashed task runs contained on a one-shot pool worker.
+    events = []
+    supervisor = _fast_supervisor(
+        jobs=1, retries=1, circuit_breaker=1,
+        task_runner=crash_once_runner,
+    )
+    outcomes = supervisor.run([TaskSpec("flaky")], on_event=events.append)
+    assert supervisor.breaker_opened
+    assert outcomes["flaky"].status == "done"
+    assert outcomes["flaky"].attempts == 2
+    assert outcomes["flaky"].report == "recovered:flaky"
+    assert any(
+        "flaky: started (attempt 2/2) [degraded, contained]" in event
+        for event in events
+    )
+
+
+def test_contained_task_times_out():
+    events = []
+    timeout = 0.5
+    supervisor = _fast_supervisor(
+        jobs=1, retries=1, circuit_breaker=1, timeout=timeout,
+        task_runner=crash_once_runner,
+    )
+    start = time.monotonic()
+    outcomes = supervisor.run([TaskSpec("hangs")], on_event=events.append)
+    assert time.monotonic() - start < timeout + 10
+    assert outcomes["hangs"].status == "failed"
+    assert outcomes["hangs"].error_kind == "task-timeout"
+    assert outcomes["hangs"].attempts == 2
+    assert any("[degraded, contained]" in event for event in events)
 
 
 # -- Supervisor: heartbeat liveness ---------------------------------------

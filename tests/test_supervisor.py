@@ -2,7 +2,6 @@
 
 import json
 import os
-import time
 
 import pytest
 
@@ -14,33 +13,23 @@ from repro.experiments.supervisor import (
 )
 
 
-# Worker entry points must be module-level so every multiprocessing
-# start method can reach them.
+# Task runners must be module-level so every multiprocessing start
+# method can reach them.
 
-def ok_worker(conn, spec, resume):
-    conn.send(("ok", "report for " + spec.name))
-    conn.close()
+def ok_runner(spec, resume):
+    return "report for " + spec.name
 
 
-def crash_worker(conn, spec, resume):
+def crash_runner(spec, resume):
     os._exit(3)
 
 
-def hang_worker(conn, spec, resume):
-    time.sleep(60)
-
-
-def error_worker(conn, spec, resume):
-    conn.send(("error", "ValueError: synthetic failure"))
-    conn.close()
-
-
-def flaky_worker(conn, spec, resume):
-    # Crashes on the first attempt; the retry arrives with resume=True.
+def flaky_runner(spec, resume):
+    # Crashes its worker on the first attempt; the retry arrives with
+    # resume=True on a fresh worker.
     if not resume:
         os._exit(1)
-    conn.send(("ok", "recovered " + spec.name))
-    conn.close()
+    return "recovered " + spec.name
 
 
 def _fast_supervisor(**kwargs):
@@ -80,7 +69,7 @@ def test_store_missing_file_is_empty(tmp_path):
 
 def test_tasks_complete_and_land_in_store(tmp_path):
     store = ResultStore(str(tmp_path / "r.jsonl"))
-    supervisor = _fast_supervisor(jobs=3, worker=ok_worker)
+    supervisor = _fast_supervisor(jobs=3, task_runner=ok_runner)
     specs = [TaskSpec("t{}".format(i)) for i in range(5)]
     outcomes = supervisor.run(specs, store=store)
     assert len(outcomes) == 5
@@ -88,35 +77,9 @@ def test_tasks_complete_and_land_in_store(tmp_path):
     assert set(store.load()) == {spec.name for spec in specs}
 
 
-def test_worker_crash_fails_task_not_campaign(tmp_path):
-    supervisor = _fast_supervisor(jobs=2, retries=0, worker=crash_worker)
-    outcomes = supervisor.run([TaskSpec("dies"), TaskSpec("dies2")])
-    assert outcomes["dies"].status == "failed"
-    assert "crashed" in outcomes["dies"].error
-    assert outcomes["dies2"].status == "failed"
-
-
-def test_worker_error_message_is_captured():
-    supervisor = _fast_supervisor(retries=0, worker=error_worker)
-    outcomes = supervisor.run([TaskSpec("t")])
-    assert outcomes["t"].status == "failed"
-    assert "synthetic failure" in outcomes["t"].error
-
-
-def test_timeout_kills_hanging_worker():
-    supervisor = _fast_supervisor(
-        timeout=0.3, retries=0, worker=hang_worker
-    )
-    start = time.monotonic()
-    outcomes = supervisor.run([TaskSpec("hangs")])
-    assert time.monotonic() - start < 10
-    assert outcomes["hangs"].status == "failed"
-    assert "timed out" in outcomes["hangs"].error
-
-
 def test_retry_recovers_with_resume_flag():
     events = []
-    supervisor = _fast_supervisor(retries=1, worker=flaky_worker)
+    supervisor = _fast_supervisor(retries=1, task_runner=flaky_runner)
     outcomes = supervisor.run([TaskSpec("flaky")], on_event=events.append)
     assert outcomes["flaky"].status == "done"
     assert outcomes["flaky"].attempts == 2
@@ -125,7 +88,7 @@ def test_retry_recovers_with_resume_flag():
 
 
 def test_retries_are_bounded():
-    supervisor = _fast_supervisor(retries=2, worker=crash_worker)
+    supervisor = _fast_supervisor(retries=2, task_runner=crash_runner)
     outcomes = supervisor.run([TaskSpec("dies")])
     assert outcomes["dies"].status == "failed"
     assert outcomes["dies"].attempts == 3
@@ -150,7 +113,7 @@ def test_campaign_resume_skips_recorded_tasks(tmp_path):
     first = run_campaign(
         names=names,
         checkpoint_dir=directory,
-        supervisor=_fast_supervisor(jobs=2, worker=ok_worker),
+        supervisor=_fast_supervisor(jobs=2, task_runner=ok_runner),
     )
     assert first.ok and first.skipped == []
     assert [name for name, _ in first.sections] == names
@@ -161,7 +124,7 @@ def test_campaign_resume_skips_recorded_tasks(tmp_path):
         resume=True,
         checkpoint_dir=directory,
         on_event=events.append,
-        supervisor=_fast_supervisor(jobs=2, worker=ok_worker),
+        supervisor=_fast_supervisor(jobs=2, task_runner=ok_runner),
     )
     assert second.skipped == names
     assert second.format_report() == first.format_report()
@@ -174,12 +137,12 @@ def test_campaign_without_resume_restarts_fresh(tmp_path):
     run_campaign(
         names=names,
         checkpoint_dir=directory,
-        supervisor=_fast_supervisor(worker=ok_worker),
+        supervisor=_fast_supervisor(task_runner=ok_runner),
     )
     again = run_campaign(
         names=names,
         checkpoint_dir=directory,
-        supervisor=_fast_supervisor(worker=ok_worker),
+        supervisor=_fast_supervisor(task_runner=ok_runner),
     )
     assert again.skipped == []
 
@@ -188,7 +151,7 @@ def test_campaign_reports_failures_without_aborting(tmp_path):
     campaign = run_campaign(
         names=["figure8", "hardware"],
         checkpoint_dir=str(tmp_path / "ck"),
-        supervisor=_fast_supervisor(retries=0, worker=crash_worker),
+        supervisor=_fast_supervisor(retries=0, task_runner=crash_runner),
     )
     assert not campaign.ok
     assert set(campaign.failed) == {"figure8", "hardware"}
@@ -201,7 +164,7 @@ def test_campaign_store_is_json_lines(tmp_path):
     run_campaign(
         names=["figure8"],
         checkpoint_dir=str(directory),
-        supervisor=_fast_supervisor(worker=ok_worker),
+        supervisor=_fast_supervisor(task_runner=ok_runner),
     )
     lines = (directory / "results.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
