@@ -1,30 +1,54 @@
-"""Kernel performance benchmarks (``python -m repro.bench``).
+"""Identity-and-ratio gates for the engine speed-ups (``python -m repro.bench``).
 
-Times the paper's workloads under the dense reference kernel and the
-activity-driven fast path, verifies that both produce bit-identical
-results, and writes the measurements to ``benchmarks/perf/BENCH_kernel.json``.
+Every benchmark is a list of :class:`Bench` specs built by an entry in
+:data:`REGISTRY`.  A spec is an ordered tuple of legs that do the same
+work by different paths, the first leg being the reference.  One runner
+times every spec the same way — legs interleaved, best of ``--repeats``
+— and the run fails (exit status 1) when a leg's fingerprint changes
+across repeats, when a fingerprinted leg differs from the reference, or
+when the spec's gate reports a failure.  Speed without equivalence is a
+bug, not a result.
 
-Scenarios:
+Registered benchmarks (``python -m repro.bench NAME``):
 
-* ``table1_lowutil`` — the four Table 1 architectures under light
-  Poisson load (~1.5% offered utilisation).  The idle-heavy sweep the
-  fast path exists for; target is a >= 5x cycles/sec speedup.
-* ``table1_saturated`` — the same architectures with saturating
-  generators.  There is nothing to skip, so this guards the fast
-  path's overhead on busy systems (target: within 2% of dense).
-* ``figure8_lottery`` — the Figure 8 ticket assignment (1:2:3:4) on a
-  saturated lottery bus.
-* ``atm_switch`` — the Table 1 output-queued ATM switch.  Bernoulli
-  cell arrivals draw their RNG every cycle, so this runs dense-
-  equivalent by design and measures pure kernel overhead.
+* ``kernel`` — the dense reference kernel vs the activity-driven fast
+  path on four paper workloads, each fingerprinted by its metrics
+  summary plus the full kernel ``state_dict``:
 
-Every scenario is run once per mode and fingerprinted: the metrics
-summary and the full kernel ``state_dict`` are pickled and compared
-byte-for-byte.  Any divergence fails the benchmark (exit status 1) —
-speed without equivalence is a bug, not a result.
+  - ``table1_lowutil``: the four Table 1 architectures under light
+    Poisson load (~1.5% offered utilisation), the idle-heavy sweep the
+    fast path exists for;
+  - ``table1_saturated``: the same architectures with saturating
+    generators — nothing to skip, so this guards the fast path's
+    overhead on busy systems;
+  - ``figure8_lottery``: the Figure 8 ticket assignment (1:2:3:4) on a
+    saturated lottery bus;
+  - ``atm_switch``: the Table 1 output-queued ATM switch, whose
+    Bernoulli arrivals draw their RNG every cycle, so it runs
+    dense-equivalent by design and measures pure kernel overhead.
+
+* ``campaign`` — eight Table 1 points serial in-process, fanned over the
+  persistent worker pool (``--jobs``), and through the content-addressed
+  result cache cold then warm.
+* ``batch`` — the saturated Table 1 sweep as one dense scalar run per
+  lane vs one :class:`~repro.vector.engine.VectorEngine` hosting every
+  lane; each lane's metrics summary and arbiter state are compared
+  (needs numpy).
+* ``analytic`` — the surrogate's per-configuration throughput against
+  the vector engine at the standard 50k-cycle budget, gated on the
+  surrogate's checked-in error bounds at the calibration settings, and
+  in full runs on a 1000x speedup (needs numpy).
+* ``lint`` — the linter on ``src/`` and ``tests/`` against an empty vs a
+  fully warm incremental cache, gated in full runs on a 5x warm
+  speedup.
+
+End-to-end workload timings are ``repobench/``'s job; this module only
+proves that each fast path stays identical to its reference, and by how
+much it is faster on the machine at hand.
 """
 
 import argparse
+import functools
 import json
 import os
 import pickle
@@ -32,7 +56,6 @@ import platform
 import shutil
 import sys
 import tempfile
-import threading
 import time
 
 from repro.arbiters.registry import make_arbiter
@@ -43,22 +66,30 @@ from repro.traffic.generator import PoissonGenerator, SaturatingGenerator
 from repro.traffic.message import FixedWords
 
 NUM_MASTERS = 4
-DEFAULT_OUTPUT = os.path.join("benchmarks", "perf", "BENCH_kernel.json")
-DEFAULT_CAMPAIGN_OUTPUT = os.path.join(
-    "benchmarks", "perf", "BENCH_campaign.json"
-)
-DEFAULT_SERVICE_OUTPUT = os.path.join(
-    "benchmarks", "perf", "BENCH_service.json"
-)
-DEFAULT_BATCH_OUTPUT = os.path.join(
-    "benchmarks", "perf", "BENCH_batch.json"
-)
-DEFAULT_ANALYTIC_OUTPUT = os.path.join(
-    "benchmarks", "perf", "BENCH_analytic.json"
-)
-DEFAULT_LINT_OUTPUT = os.path.join(
-    "benchmarks", "perf", "BENCH_lint.json"
-)
+OUTPUT_TEMPLATE = os.path.join("benchmarks", "perf", "BENCH_{}.json")
+
+
+class Bench:
+    """One benchmark: legs that do the same work by different paths.
+
+    :param name: row label, unique within its registry entry.
+    :param description: one line on what the legs run.
+    :param unit: the ``work`` counter rates and speedups are taken over.
+    :param legs: ordered ``(name, run)`` pairs; the first is the
+        reference.  ``run()`` returns ``(fingerprint, work)``:
+        ``fingerprint`` must be equal on every repeat and, unless it is
+        ``None`` (timed, not compared), equal to the reference's;
+        ``work`` is a dict of counters holding at least ``unit``.
+    :param gate: optional ``gate(result) -> [reason, ...]`` for checks
+        that are not identity checks; any reason fails the run.
+    """
+
+    def __init__(self, name, description, unit, legs, gate=None):
+        self.name = name
+        self.description = description
+        self.unit = unit
+        self.legs = tuple(legs)
+        self.gate = gate
 
 
 def _platform_info():
@@ -73,6 +104,61 @@ def _platform_info():
         "release": platform.release(),
         "cpu_count": os.cpu_count(),
     }
+
+
+def run_bench(spec, repeats):
+    """Time ``spec``'s legs interleaved, best of ``repeats``; returns the
+    spec's result record, with ``ok`` false on any failure."""
+    legs = [{"name": name, "wall_seconds": None} for name, _ in spec.legs]
+    prints = [None] * len(legs)
+    unstable = set()
+    for repeat in range(repeats):
+        # Interleaved so slow drift in machine load biases every leg
+        # equally instead of whichever ran last.
+        for index, (name, run) in enumerate(spec.legs):
+            start = time.perf_counter()
+            fingerprint, work = run()
+            elapsed = time.perf_counter() - start
+            if repeat and fingerprint != prints[index]:
+                unstable.add(name)
+            prints[index] = fingerprint
+            leg = legs[index]
+            leg["work"] = work
+            if leg["wall_seconds"] is None or elapsed < leg["wall_seconds"]:
+                leg["wall_seconds"] = elapsed
+
+    failures = [
+        "{} is non-deterministic across repeats".format(name)
+        for name, _ in spec.legs if name in unstable
+    ]
+    reference = legs[0]
+    reference_rate = reference["work"][spec.unit] / reference["wall_seconds"]
+    for leg, fingerprint in zip(legs, prints):
+        rate = leg["work"][spec.unit] / leg["wall_seconds"]
+        leg["wall_seconds"] = round(leg["wall_seconds"], 4)
+        leg["per_second"] = round(rate, 1)
+        leg["speedup"] = round(rate / reference_rate, 2)
+        leg["identical"] = (
+            None if fingerprint is None else fingerprint == prints[0]
+        )
+        if leg["identical"] is False:
+            failures.append("{} differs from {}".format(
+                leg["name"], reference["name"]
+            ))
+    result = {
+        "name": spec.name,
+        "description": spec.description,
+        "unit": spec.unit,
+        "legs": legs,
+        "failures": failures,
+    }
+    if spec.gate is not None:
+        failures.extend(spec.gate(result))
+    result["ok"] = not failures
+    return result
+
+
+# -- kernel: dense vs fast -------------------------------------------------
 
 
 def _fingerprint(simulator, summary):
@@ -98,9 +184,9 @@ def _saturating_factory(index, master):
 
 
 def _run_architectures(mode, cycles, generator_factory, architectures):
-    """One testbed run per architecture; returns (fingerprints, counters)."""
+    """One testbed run per architecture; returns (fingerprint, work)."""
     blobs = []
-    ticked = skipped = 0
+    skipped = 0
     for label, arb_name, kwargs in architectures:
         arbiter = make_arbiter(
             arb_name, NUM_MASTERS, list(TABLE1_WEIGHTS), **kwargs
@@ -113,9 +199,9 @@ def _run_architectures(mode, cycles, generator_factory, architectures):
         blobs.append(
             (label, _fingerprint(system.simulator, bus.metrics.summary()))
         )
-        ticked += system.simulator.ticked_cycles
         skipped += system.simulator.skipped_cycles
-    return pickle.dumps(blobs), ticked, skipped
+    work = {"cycles": cycles * len(architectures), "skipped_cycles": skipped}
+    return pickle.dumps(blobs), work
 
 
 def _run_table1_lowutil(mode, cycles):
@@ -135,7 +221,7 @@ def _run_figure8(mode, cycles):
     system.run(cycles)
     sim = system.simulator
     blob = _fingerprint(sim, bus.metrics.summary())
-    return blob, sim.ticked_cycles, sim.skipped_cycles
+    return blob, {"cycles": cycles, "skipped_cycles": sim.skipped_cycles}
 
 
 def _run_atm_switch(mode, cycles):
@@ -147,15 +233,15 @@ def _run_atm_switch(mode, cycles):
     switch.run(cycles)
     sim = switch.simulator
     blob = _fingerprint(sim, switch.bus.metrics.summary())
-    return blob, sim.ticked_cycles, sim.skipped_cycles
+    return blob, {"cycles": cycles, "skipped_cycles": sim.skipped_cycles}
 
 
-# (name, runner, systems, full cycles, quick cycles, description)
+# (name, runner, full cycles, quick cycles, description); cycles are
+# per system.
 SCENARIOS = (
     (
         "table1_lowutil",
         _run_table1_lowutil,
-        len(ARCHITECTURES),
         150000,
         20000,
         "Table 1 architectures, ~1.5% utilisation Poisson load",
@@ -163,7 +249,6 @@ SCENARIOS = (
     (
         "table1_saturated",
         _run_table1_saturated,
-        len(ARCHITECTURES),
         40000,
         8000,
         "Table 1 architectures, saturating generators",
@@ -171,7 +256,6 @@ SCENARIOS = (
     (
         "figure8_lottery",
         _run_figure8,
-        1,
         120000,
         24000,
         "Figure 8 ticket ratios (1:2:3:4), saturated lottery bus",
@@ -179,7 +263,6 @@ SCENARIOS = (
     (
         "atm_switch",
         _run_atm_switch,
-        1,
         30000,
         6000,
         "Table 1 output-queued ATM switch (dense-equivalent workload)",
@@ -187,80 +270,23 @@ SCENARIOS = (
 )
 
 
-def _time_once(runner, mode, cycles, best):
-    """One timed run folded into ``best``; runs are deterministic, so
-    every repeat must reproduce the same fingerprint."""
-    start = time.perf_counter()
-    blob, ticked, skipped = runner(mode, cycles)
-    elapsed = time.perf_counter() - start
-    if best["blob"] is not None and blob != best["blob"]:
-        raise AssertionError(
-            "{} mode is non-deterministic across repeats".format(mode)
+def _kernel_benches(quick, jobs, workdir):
+    return [
+        Bench(
+            name, description, "cycles",
+            [
+                (mode, functools.partial(
+                    runner, mode, quick_cycles if quick else full_cycles
+                ))
+                for mode in ("dense", "fast")
+            ],
         )
-    best["blob"] = blob
-    best["ticked"] = ticked
-    best["skipped"] = skipped
-    if best["wall"] is None or elapsed < best["wall"]:
-        best["wall"] = elapsed
-    return best
+        for name, runner, full_cycles, quick_cycles, description
+        in SCENARIOS
+    ]
 
 
-def run_benchmarks(quick=False, repeats=3):
-    """Run every scenario in both modes; returns the results document."""
-    scenarios = []
-    all_match = True
-    for name, runner, systems, full_cycles, quick_cycles, description in (
-        SCENARIOS
-    ):
-        cycles = quick_cycles if quick else full_cycles
-        total_cycles = cycles * systems
-        # Repeats are interleaved dense/fast so slow drift in machine
-        # load biases both modes equally instead of whichever ran last.
-        dense = {"blob": None, "ticked": None, "skipped": None, "wall": None}
-        fast = {"blob": None, "ticked": None, "skipped": None, "wall": None}
-        for _ in range(repeats):
-            _time_once(runner, "dense", cycles, dense)
-            _time_once(runner, "fast", cycles, fast)
-        match = dense["blob"] == fast["blob"]
-        all_match = all_match and match
-        entry = {
-            "name": name,
-            "description": description,
-            "systems": systems,
-            "cycles_per_system": cycles,
-            "dense": {
-                "wall_seconds": round(dense["wall"], 4),
-                "cycles_per_second": round(total_cycles / dense["wall"], 1),
-            },
-            "fast": {
-                "wall_seconds": round(fast["wall"], 4),
-                "cycles_per_second": round(total_cycles / fast["wall"], 1),
-                "skipped_fraction": round(
-                    fast["skipped"] / float(total_cycles), 4
-                ),
-            },
-            "speedup": round(dense["wall"] / fast["wall"], 2),
-            "identical": match,
-        }
-        scenarios.append(entry)
-    return {
-        "benchmark": "repro.bench",
-        "quick": quick,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "platform": _platform_info(),
-        "scenarios": scenarios,
-        "all_identical": all_match,
-    }
-
-
-# -- campaign benchmark ----------------------------------------------------
-#
-# Times the same Table 1 point campaign three ways: serial in-process,
-# fanned over the persistent worker pool, and replayed against a warm
-# content-addressed result cache.  All three must produce identical
-# campaign results; the JSON report records the walls, speedups and
-# cache accounting.
+# -- campaign: serial vs pooled vs cached ----------------------------------
 
 
 def _campaign_calls(quick):
@@ -304,158 +330,49 @@ def _run_campaign_cached(calls, cache):
     return rows
 
 
-def _canonical_rows(rows):
-    """Rows normalized through JSON so cached (list) and fresh (tuple)
-    results compare by value, not container type."""
-    return json.loads(json.dumps(rows))
-
-
-def _bench_point_runner(spec, resume):
-    """Pool-worker runner for the chaos leg: one Table 1 point per task.
-
-    The call parameters ride in ``spec.options`` so workers (which
-    unpickle the spec, not a closure) can reconstruct the exact same
-    point the serial leg computed.
-    """
-    from repro.experiments.table1 import run_table1_point
-
-    options = spec.options
-    row = run_table1_point(
-        options["label"], options["arbiter"], options["kwargs"],
-        options["cycles"], spec.seed,
-    )
-    return json.dumps(row)
-
-
-def _run_campaign_chaos(calls, jobs, chaos_rate):
-    """The campaign under seeded worker kills; returns (rows, stats).
-
-    Every task must still finish with a row identical to the serial
-    leg's — resilience without equivalence is a bug, not a result.
-    """
-    from repro.chaos import ChaosInjector, ChaosPlan
-    from repro.experiments.supervisor import Supervisor, TaskSpec
-
-    specs = []
-    for label, arb_name, kwargs, cycles, seed in calls:
-        specs.append(
-            TaskSpec(
-                "{} seed{}".format(label, seed),
-                seed=seed,
-                options={"label": label, "arbiter": arb_name,
-                         "kwargs": kwargs, "cycles": cycles},
-            )
-        )
-    injector = ChaosInjector(ChaosPlan(kill_rate=chaos_rate), seed=1)
-    supervisor = Supervisor(
-        jobs=jobs, retries=30, backoff=0.05, quarantine_after=None,
-        circuit_breaker=None, task_runner=_bench_point_runner,
-        chaos=injector,
-    )
-    outcomes = supervisor.run(specs)
-    rows = [json.loads(outcomes[spec.name].report) for spec in specs]
-    return rows, injector, supervisor
-
-
-def run_campaign_benchmark(quick=False, jobs=4, cache_dir=None,
-                           chaos_rate=0.0):
-    """Serial vs pooled vs warm-cache campaign; returns the results doc."""
+def _campaign_benches(quick, jobs, workdir):
     from repro.experiments.cache import ResultCache
-    from repro.experiments.supervisor import default_jobs, pool_map
+    from repro.experiments.supervisor import pool_map
     from repro.experiments.table1 import run_table1_point
 
     calls = _campaign_calls(quick)
+    cache_dir = os.path.join(workdir, "campaign-cache")
 
-    start = time.perf_counter()
-    serial_rows = [run_table1_point(*call) for call in calls]
-    serial_wall = time.perf_counter() - start
+    def result(rows, **counters):
+        # Rows go through JSON so cached (list) and fresh (tuple)
+        # results compare by value, not container type.
+        return json.dumps(rows), dict(tasks=len(calls), **counters)
 
-    start = time.perf_counter()
-    pooled_rows = pool_map(run_table1_point, calls, jobs=jobs)
-    pooled_wall = time.perf_counter() - start
-    pooled_identical = serial_rows == pooled_rows
+    def serial():
+        return result([run_table1_point(*call) for call in calls])
 
-    own_cache_dir = cache_dir is None
-    if own_cache_dir:
-        cache_dir = tempfile.mkdtemp(prefix="bench-campaign-cache-")
-    try:
-        cold_cache = ResultCache(cache_dir)
-        start = time.perf_counter()
-        cold_rows = _run_campaign_cached(calls, cold_cache)
-        cold_wall = time.perf_counter() - start
+    def pooled():
+        return result(pool_map(run_table1_point, calls, jobs=jobs),
+                      jobs=jobs)
 
-        warm_cache = ResultCache(cache_dir)
-        start = time.perf_counter()
-        warm_rows = _run_campaign_cached(calls, warm_cache)
-        warm_wall = time.perf_counter() - start
-    finally:
-        if own_cache_dir:
-            shutil.rmtree(cache_dir, ignore_errors=True)
+    def cached():
+        cache = ResultCache(cache_dir)
+        return result(_run_campaign_cached(calls, cache),
+                      **cache.stats.as_dict())
 
-    warm_identical = (
-        _canonical_rows(serial_rows)
-        == _canonical_rows(cold_rows)
-        == _canonical_rows(warm_rows)
-    )
+    def cache_cold():
+        shutil.rmtree(cache_dir, ignore_errors=True)
+        return cached()
 
-    chaos_entry = None
-    chaos_identical = True
-    if chaos_rate:
-        start = time.perf_counter()
-        chaos_rows, injector, supervisor = _run_campaign_chaos(
-            calls, jobs, chaos_rate
+    return [
+        Bench(
+            "table1_points",
+            "Table 1 architectures x 2 seeds, {} cycles per task".format(
+                calls[0][3]
+            ),
+            "tasks",
+            [("serial", serial), ("pooled", pooled),
+             ("cache_cold", cache_cold), ("cache_warm", cached)],
         )
-        chaos_wall = time.perf_counter() - start
-        chaos_identical = (
-            _canonical_rows(serial_rows) == _canonical_rows(chaos_rows)
-        )
-        chaos_entry = {
-            "rate": chaos_rate,
-            "wall_seconds": round(chaos_wall, 4),
-            "slowdown_vs_pooled": round(chaos_wall / pooled_wall, 2),
-            "workers_killed": injector.events["kill"],
-            "workers_spawned": supervisor.workers_spawned,
-            "identical": chaos_identical,
-        }
-
-    all_identical = pooled_identical and warm_identical and chaos_identical
-    return {
-        "benchmark": "repro.bench --campaign",
-        "quick": quick,
-        "python": platform.python_version(),
-        "platform": _platform_info(),
-        "cpus": default_jobs(),
-        "tasks": len(calls),
-        "cycles_per_task": calls[0][3],
-        "jobs": jobs,
-        "serial": {"wall_seconds": round(serial_wall, 4)},
-        "pooled": {
-            "wall_seconds": round(pooled_wall, 4),
-            "speedup_vs_serial": round(serial_wall / pooled_wall, 2),
-            "identical": pooled_identical,
-        },
-        "cache_cold": {
-            "wall_seconds": round(cold_wall, 4),
-            "stats": cold_cache.stats.as_dict(),
-        },
-        "cache_warm": {
-            "wall_seconds": round(warm_wall, 4),
-            "fraction_of_cold": round(warm_wall / cold_wall, 4),
-            "stats": warm_cache.stats.as_dict(),
-            "identical": warm_identical,
-        },
-        "chaos": chaos_entry,
-        "all_identical": all_identical,
-    }
+    ]
 
 
-# -- batch (vectorized) benchmark ------------------------------------------
-#
-# Times the saturated Table 1 sweep two ways: one dense scalar run per
-# lane (the reference) and one struct-of-arrays VectorEngine hosting
-# every lane at once (repro.vector).  Every lane's metrics summary and
-# arbiter state are fingerprinted on both sides and compared
-# byte-for-byte; any divergence fails the benchmark (exit status 1).
+# -- batch: scalar dense vs vector lanes -----------------------------------
 
 
 # The engine-hosted architectures of the saturated sweep: the full
@@ -502,13 +419,10 @@ def _batch_lane_builder(arb_name, kwargs):
     return build
 
 
-def run_batch_benchmark(quick=False, repeats=3, block_size=32):
-    """Scalar-dense vs vectorized batch run; returns the results doc.
-
-    Raises :class:`repro.vector.VectorUnavailableError` when numpy is
+def _batch_benches(quick, jobs, workdir):
+    """Raises :class:`repro.vector.VectorUnavailableError` when numpy is
     not installed — the batch benchmark has no scalar fallback to
-    measure against itself.
-    """
+    measure against itself."""
     from repro.core.lookup_table import (
         lookup_table_cache_stats,
         reset_lookup_table_cache,
@@ -522,108 +436,42 @@ def run_batch_benchmark(quick=False, repeats=3, block_size=32):
         (label, _batch_lane_builder(arb_name, kwargs))
         for label, arb_name, kwargs in specs
     ]
+    work = {"lanes": len(builders), "cycles": len(builders) * cycles}
 
-    # Scalar reference leg: one dense run per lane.
-    scalar_prints = []
-    start = time.perf_counter()
-    for _, builder in builders:
-        system, bus = builder()
-        system.simulator.mode = "dense"
-        system.run(cycles)
-        scalar_prints.append(scalar_fingerprint(bus))
-    scalar_wall = time.perf_counter() - start
+    def scalar_dense():
+        prints = []
+        for _, builder in builders:
+            system, bus = builder()
+            system.simulator.mode = "dense"
+            system.run(cycles)
+            prints.append(scalar_fingerprint(bus))
+        return prints, dict(work)
 
-    # Vector leg: every lane in one engine; best wall over repeats, and
-    # repeats must reproduce the same fingerprints (determinism guard).
-    reset_lookup_table_cache()
-    vector_wall = None
-    vector_prints = None
-    for _ in range(max(1, repeats)):
+    def vector():
+        reset_lookup_table_cache()
         plans = [
             plan_lane(builder, label=label) for label, builder in builders
         ]
-        engine = VectorEngine(plans, block_size=block_size)
-        start = time.perf_counter()
+        engine = VectorEngine(plans)
         engine.run(cycles)
-        elapsed = time.perf_counter() - start
-        prints = [
-            engine.lane_fingerprint(lane) for lane in range(len(plans))
-        ]
-        if vector_prints is not None and prints != vector_prints:
-            raise AssertionError(
-                "vector engine is non-deterministic across repeats"
-            )
-        vector_prints = prints
-        if vector_wall is None or elapsed < vector_wall:
-            vector_wall = elapsed
+        prints = [engine.lane_fingerprint(lane) for lane in range(len(plans))]
+        stats = lookup_table_cache_stats()
+        return prints, dict(work, table_builds=stats["builds"],
+                            table_hits=stats["hits"])
 
-    mismatches = [
-        label
-        for (label, _), scalar, vector in zip(
-            builders, scalar_prints, vector_prints
+    return [
+        Bench(
+            "table1_saturated_lanes",
+            "{} saturated Table 1 lanes x {} cycles".format(
+                len(builders), cycles
+            ),
+            "cycles",
+            [("scalar_dense", scalar_dense), ("vector", vector)],
         )
-        if scalar != vector
     ]
-    lanes = len(builders)
-    total_cycles = lanes * cycles
-    return {
-        "benchmark": "repro.bench --batch",
-        "quick": quick,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "platform": _platform_info(),
-        "lanes": lanes,
-        "cycles_per_lane": cycles,
-        "scalar_dense": {
-            "wall_seconds": round(scalar_wall, 4),
-            "cycles_per_second": round(total_cycles / scalar_wall, 1),
-        },
-        "vector": {
-            "wall_seconds": round(vector_wall, 4),
-            "cycles_per_second": round(total_cycles / vector_wall, 1),
-            "block_size": block_size,
-            "lookup_table_cache": lookup_table_cache_stats(),
-        },
-        "speedup": round(scalar_wall / vector_wall, 2),
-        "mismatched_lanes": mismatches[:10],
-        "all_identical": not mismatches,
-    }
 
 
-def _print_batch(results):
-    print("batch: {} lanes x {} cycles (block_size={})".format(
-        results["lanes"], results["cycles_per_lane"],
-        results["vector"]["block_size"],
-    ))
-    print("  scalar dense {:>9.3f}s  {:>12.1f} cycles/s".format(
-        results["scalar_dense"]["wall_seconds"],
-        results["scalar_dense"]["cycles_per_second"],
-    ))
-    print("  vector       {:>9.3f}s  {:>12.1f} cycles/s".format(
-        results["vector"]["wall_seconds"],
-        results["vector"]["cycles_per_second"],
-    ))
-    cache = results["vector"]["lookup_table_cache"]
-    print("  speedup      {:>8.2f}x  identical={}  table cache: "
-          "{} builds / {} hits".format(
-              results["speedup"],
-              "yes" if results["all_identical"] else "NO",
-              cache["builds"], cache["hits"],
-          ))
-    for label in results["mismatched_lanes"]:
-        print("  MISMATCH: {}".format(label))
-
-
-# -- analytic surrogate benchmark ------------------------------------------
-#
-# Two legs.  Accuracy: the surrogate is cross-validated against one
-# simulated sweep at the pinned calibration settings and every
-# combination must land inside its checked-in error bound
-# (repro.analytic.bounds) — any violation fails the benchmark (exit
-# status 1).  Speed: the surrogate scores a large replicated grid while
-# the vectorized simulator runs the standard-sweep grid at the standard
-# 50k-cycle budget; the per-configuration speedup must clear 1000x
-# (gated in full runs; --quick still reports it).
+# -- analytic: surrogate vs simulator --------------------------------------
 
 
 # The simulator side of the speed leg: the standard sweep's
@@ -638,13 +486,9 @@ _ANALYTIC_SIM_CYCLES = 50_000
 _ANALYTIC_SPEEDUP_TARGET = 1000.0
 
 
-def run_analytic_benchmark(quick=False, repeats=3, jobs=None):
-    """Surrogate accuracy + throughput vs the vector engine.
-
-    Raises :class:`repro.vector.VectorUnavailableError` when numpy is
-    not installed — the speed leg's baseline is the vectorized batch
-    engine.
-    """
+def _analytic_benches(quick, jobs, workdir):
+    """Raises :class:`repro.vector.VectorUnavailableError` when numpy is
+    not installed — the simulator leg is the vectorized batch engine."""
     from repro.analytic import (
         CALIBRATION,
         score_grid,
@@ -653,22 +497,11 @@ def run_analytic_benchmark(quick=False, repeats=3, jobs=None):
     )
     from repro.vector import run_testbed_batch
 
-    # Accuracy leg: one cross-validation sweep at the calibration
-    # settings.  --quick trims the arbiter families, not the settings —
-    # the bounds are only meaningful at the cycles they were
-    # calibrated for.
-    families = list(supported_arbiters())
-    if quick:
-        families = ["lottery-static", "static-priority", "tdma"]
-    validation = validate_surrogate(
-        arbiters=families, backend="auto", jobs=jobs
-    )
-
-    # Surrogate timing: the full supported grid, replicated so the
-    # batch path dominates fixed overheads; best wall over repeats.
     weights = tuple(CALIBRATION["weights"])
     traffic = list(CALIBRATION["traffic_classes"])
-    base_grid = [
+    # The full supported grid, replicated so the batch path dominates
+    # fixed overheads.
+    grid = [
         {
             "arbiter_name": arbiter_name,
             "traffic_class_name": traffic_name,
@@ -676,20 +509,9 @@ def run_analytic_benchmark(quick=False, repeats=3, jobs=None):
         }
         for arbiter_name in supported_arbiters()
         for traffic_name in traffic
-    ]
-    grid = base_grid * (8 if quick else 40)
-    surrogate_wall = None
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        predictions = score_grid(grid, horizon=_ANALYTIC_SIM_CYCLES)
-        elapsed = time.perf_counter() - start
-        if surrogate_wall is None or elapsed < surrogate_wall:
-            surrogate_wall = elapsed
-    surrogate_per_config = surrogate_wall / len(grid)
-
-    # Simulator baseline: the standard sweep grid on the vector engine
-    # at the standard cycle budget (what a screened sweep avoids
-    # paying per screened-out configuration).
+    ] * (8 if quick else 40)
+    # The standard sweep grid at the standard cycle budget: what a
+    # screened sweep avoids paying per screened-out configuration.
     sim_calls = [
         dict(
             arbiter_name=arbiter_name,
@@ -703,693 +525,216 @@ def run_analytic_benchmark(quick=False, repeats=3, jobs=None):
     ]
     if quick:
         sim_calls = sim_calls[:: len(traffic) // 3]
-    start = time.perf_counter()
-    run_testbed_batch(sim_calls)
-    sim_wall = time.perf_counter() - start
-    sim_per_config = sim_wall / len(sim_calls)
 
-    speedup = sim_per_config / surrogate_per_config
-    speedup_ok = quick or speedup >= _ANALYTIC_SPEEDUP_TARGET
-    max_errors = validation.max_errors()
-    return {
-        "benchmark": "repro.bench --analytic",
-        "quick": quick,
-        "repeats": repeats,
-        "python": platform.python_version(),
-        "platform": _platform_info(),
-        "validation": {
-            "cycles": validation.cycles,
-            "seed": validation.seed,
-            "arbiters": families,
-            "combinations": len(validation.rows),
-            "max_share_error": round(max_errors["share"], 4),
-            "max_utilization_error": round(max_errors["utilization"], 4),
-            "max_latency_error": round(max_errors["latency"], 4),
-            "violations": [
-                "{}/{}".format(row["arbiter"], row["traffic"])
-                for row in validation.violations
-            ][:10],
-            "ok": validation.ok,
-        },
-        "surrogate": {
-            "configs": len(grid),
-            "wall_seconds": round(surrogate_wall, 4),
-            "per_config_microseconds": round(
-                surrogate_per_config * 1e6, 2
-            ),
-            "configs_per_second": round(len(grid) / surrogate_wall, 1),
-            "sample_utilization": round(predictions[0].utilization, 4),
-        },
-        "simulator": {
-            "backend": "vector",
-            "configs": len(sim_calls),
-            "cycles_per_config": _ANALYTIC_SIM_CYCLES,
-            "wall_seconds": round(sim_wall, 4),
-            "per_config_milliseconds": round(sim_per_config * 1e3, 2),
-            "configs_per_second": round(len(sim_calls) / sim_wall, 2),
-        },
-        "speedup": round(speedup, 1),
-        "speedup_target": _ANALYTIC_SPEEDUP_TARGET,
-        "speedup_gated": not quick,
-        "all_identical": validation.ok and speedup_ok,
-    }
+    def simulator():
+        run_testbed_batch(sim_calls)
+        return None, {"configs": len(sim_calls),
+                      "cycles": len(sim_calls) * _ANALYTIC_SIM_CYCLES}
+
+    def surrogate():
+        score_grid(grid, horizon=_ANALYTIC_SIM_CYCLES)
+        return None, {"configs": len(grid)}
+
+    def gate(result):
+        # --quick trims the arbiter families, not the settings: the
+        # bounds are only meaningful at the cycles they were calibrated
+        # for.
+        families = list(supported_arbiters())
+        if quick:
+            families = ["lottery-static", "static-priority", "tdma"]
+        validation = validate_surrogate(
+            arbiters=families, backend="auto", jobs=jobs
+        )
+        failures = [
+            "error bound violated: {}/{}".format(row["arbiter"],
+                                                 row["traffic"])
+            for row in validation.violations
+        ]
+        speedup = result["legs"][1]["speedup"]
+        if not quick and speedup < _ANALYTIC_SPEEDUP_TARGET:
+            failures.append("surrogate {:.0f}x below the {:.0f}x target".format(
+                speedup, _ANALYTIC_SPEEDUP_TARGET
+            ))
+        return failures
+
+    return [
+        Bench(
+            "surrogate_vs_vector",
+            "score_grid vs the vector engine at {} cycles per "
+            "config".format(_ANALYTIC_SIM_CYCLES),
+            "configs",
+            [("simulator", simulator), ("surrogate", surrogate)],
+            gate,
+        )
+    ]
 
 
-def _print_analytic(results):
-    validation = results["validation"]
-    print("analytic: {} combinations validated ({} cycles, seed {})".format(
-        validation["combinations"], validation["cycles"],
-        validation["seed"],
-    ))
-    print("  max error    share={} util={} latency={}  bounds={}".format(
-        validation["max_share_error"],
-        validation["max_utilization_error"],
-        validation["max_latency_error"],
-        "ok" if validation["ok"] else "VIOLATED",
-    ))
-    print("  surrogate   {:>9.3f}s  {:>10.1f} configs/s  ({} configs, "
-          "{}us each)".format(
-              results["surrogate"]["wall_seconds"],
-              results["surrogate"]["configs_per_second"],
-              results["surrogate"]["configs"],
-              results["surrogate"]["per_config_microseconds"],
-          ))
-    print("  simulator   {:>9.3f}s  {:>10.2f} configs/s  ({} configs, "
-          "{} cycles each)".format(
-              results["simulator"]["wall_seconds"],
-              results["simulator"]["configs_per_second"],
-              results["simulator"]["configs"],
-              results["simulator"]["cycles_per_config"],
-          ))
-    print("  speedup     {:>8.0f}x  (target {:.0f}x, {})".format(
-        results["speedup"], results["speedup_target"],
-        "gated" if results["speedup_gated"] else "reported only",
-    ))
-    for label in validation["violations"]:
-        print("  VIOLATED: {}".format(label))
+# -- lint: cold vs warm incremental cache ----------------------------------
 
-
-# -- lint benchmark --------------------------------------------------------
-#
-# Times the incremental linter (repro.lint) on the repo's own tree:
-# a cold run against an empty cache, a fully warm run (every per-file
-# result and the whole-program pass replayed from the cache), and a
-# cold run fanned across a worker pool.  All three legs must produce
-# byte-identical findings, and the warm run must clear the 5x speedup
-# target — an incremental cache that changes answers is a bug, not a
-# result.
 
 _LINT_TARGETS = ("src", "tests")
 _LINT_WARM_SPEEDUP_TARGET = 5.0
 
 
-def run_lint_benchmark(quick=False, repeats=3, jobs=4,
-                       targets=_LINT_TARGETS):
-    """Cold vs warm vs parallel lint of the repo tree, in process.
-
-    The cache lives in a throwaway directory so the benchmark never
-    touches (or benefits from) the checkout's own ``.lint-cache.json``.
-    Cache load and save are inside the timed region on both the cold
-    and warm legs — persistence is part of what each run costs.
-    """
+def _lint_benches(quick, jobs, workdir):
+    """Cache load and save are inside the timed region on both legs —
+    persistence is part of what each run costs.  The cache lives in the
+    benchmark's scratch directory, so the checkout's own
+    ``.lint-cache.json`` is never touched or benefited from."""
     from repro.analysis.cache import LintCache
-    from repro.analysis.core import (
-        get_rules,
-        iter_python_files,
-        lint_paths,
-    )
+    from repro.analysis.core import get_rules, iter_python_files, lint_paths
 
     rules = get_rules()
     rule_ids = [rule.id for rule in rules]
-    paths = list(targets)
-    file_count = sum(1 for _ in iter_python_files(paths))
-    repeats = 1 if quick else max(1, repeats)
+    paths = list(_LINT_TARGETS)
+    files = sum(1 for _ in iter_python_files(paths))
+    cache_path = os.path.join(workdir, ".lint-cache.json")
 
-    def fingerprint(findings):
-        return json.dumps(
+    def warm():
+        cache = LintCache.load(cache_path, rule_ids)
+        findings = lint_paths(paths, rules=rules, cache=cache)
+        cache.save()
+        fingerprint = json.dumps(
             [finding.as_dict() for finding in findings], sort_keys=True
         )
+        return fingerprint, {"files": files, "findings": len(findings),
+                             "cache_hits": cache.hits,
+                             "cache_misses": cache.misses}
 
-    work_dir = tempfile.mkdtemp(prefix="bench-lint-")
-    cache_path = os.path.join(work_dir, ".lint-cache.json")
-    try:
-        # Cold: empty cache, every file parsed and summarized.
-        cold_wall = None
-        for _ in range(repeats):
-            try:
-                os.remove(cache_path)
-            except OSError:
-                pass  # first iteration: nothing written yet
-            start = time.perf_counter()
-            cache = LintCache.load(cache_path, rule_ids)
-            findings = lint_paths(paths, rules=rules, cache=cache)
-            cache.save()
-            elapsed = time.perf_counter() - start
-            if cold_wall is None or elapsed < cold_wall:
-                cold_wall = elapsed
-        cold_fingerprint = fingerprint(findings)
-        finding_count = len(findings)
+    def cold():
+        if os.path.exists(cache_path):
+            os.remove(cache_path)
+        return warm()
 
-        # Warm: unchanged tree, reloaded cache — per-file results and
-        # the project pass all replay; no parsing at all.
-        warm_wall = None
-        warm_hits = warm_misses = 0
-        for _ in range(repeats):
-            start = time.perf_counter()
-            cache = LintCache.load(cache_path, rule_ids)
-            findings = lint_paths(paths, rules=rules, cache=cache)
-            cache.save()
-            elapsed = time.perf_counter() - start
-            if warm_wall is None or elapsed < warm_wall:
-                warm_wall = elapsed
-            warm_hits, warm_misses = cache.hits, cache.misses
-        warm_fingerprint = fingerprint(findings)
+    def gate(result):
+        speedup = result["legs"][1]["speedup"]
+        if speedup < _LINT_WARM_SPEEDUP_TARGET:
+            return ["warm lint {:.1f}x below the {:.0f}x target".format(
+                speedup, _LINT_WARM_SPEEDUP_TARGET
+            )]
+        return []
 
-        # Parallel: cold per-file work fanned across a process pool,
-        # no cache — exercises the multiprocessing path, not reuse.
-        # Reported, never gated: a 1-CPU container legitimately shows
-        # ~1x here.
-        parallel_wall = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            findings = lint_paths(paths, rules=rules, jobs=jobs)
-            elapsed = time.perf_counter() - start
-            if parallel_wall is None or elapsed < parallel_wall:
-                parallel_wall = elapsed
-        parallel_fingerprint = fingerprint(findings)
-    finally:
-        shutil.rmtree(work_dir, ignore_errors=True)
-
-    identical = (
-        cold_fingerprint == warm_fingerprint == parallel_fingerprint
-    )
-    warm_speedup = (cold_wall / warm_wall) if warm_wall else float("inf")
-    speedup_ok = quick or warm_speedup >= _LINT_WARM_SPEEDUP_TARGET
-    return {
-        "benchmark": "repro.bench --lint",
-        "quick": quick,
-        "repeats": repeats,
-        "platform": _platform_info(),
-        "targets": list(targets),
-        "files": file_count,
-        "rules": rule_ids,
-        "findings": finding_count,
-        "cold": {
-            "wall_seconds": round(cold_wall, 4),
-            "files_per_second": round(file_count / cold_wall, 1),
-        },
-        "warm": {
-            "wall_seconds": round(warm_wall, 4),
-            "files_per_second": round(file_count / warm_wall, 1),
-            "cache_hits": warm_hits,
-            "cache_misses": warm_misses,
-        },
-        "parallel": {
-            "jobs": jobs,
-            "wall_seconds": round(parallel_wall, 4),
-            "files_per_second": round(file_count / parallel_wall, 1),
-            "speedup_vs_cold": round(cold_wall / parallel_wall, 2),
-        },
-        "warm_speedup": round(warm_speedup, 1),
-        "warm_speedup_target": _LINT_WARM_SPEEDUP_TARGET,
-        "warm_speedup_gated": not quick,
-        "identical_findings": identical,
-        "all_identical": identical and speedup_ok,
-    }
-
-
-def _print_lint(results):
-    print("lint: {} files, {} rules, {} findings".format(
-        results["files"], len(results["rules"]), results["findings"],
-    ))
-    print("  cold        {:>9.3f}s  {:>8.1f} files/s".format(
-        results["cold"]["wall_seconds"],
-        results["cold"]["files_per_second"],
-    ))
-    print("  warm        {:>9.3f}s  {:>8.1f} files/s  "
-          "({} hits / {} misses)".format(
-              results["warm"]["wall_seconds"],
-              results["warm"]["files_per_second"],
-              results["warm"]["cache_hits"],
-              results["warm"]["cache_misses"],
-          ))
-    print("  parallel    {:>9.3f}s  {:>8.1f} files/s  "
-          "(jobs={}, {:.2f}x vs cold)".format(
-              results["parallel"]["wall_seconds"],
-              results["parallel"]["files_per_second"],
-              results["parallel"]["jobs"],
-              results["parallel"]["speedup_vs_cold"],
-          ))
-    print("  warm speedup {:>7.1f}x  (target {:.0f}x, {})".format(
-        results["warm_speedup"], results["warm_speedup_target"],
-        "gated" if results["warm_speedup_gated"] else "reported only",
-    ))
-    print("  findings     {}".format(
-        "identical across all legs"
-        if results["identical_findings"] else "DIVERGED"
-    ))
-
-
-# -- service benchmark -----------------------------------------------------
-#
-# Hammers a live in-process DSE server (stdlib front-end, real sockets)
-# with concurrent clients: cold submissions that execute on the worker
-# pool, duplicate submissions that must *join* the finished jobs, and
-# warm result fetches.  The served reports must be bit-identical to
-# in-process references and the duplicates must cause zero extra
-# executions — throughput without idempotency is a bug, not a result.
-
-
-def _percentile_ms(samples, q):
-    """The q-quantile of ``samples`` (seconds) in milliseconds."""
-    if not samples:
-        return None
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
-    return round(ordered[index] * 1000.0, 3)
-
-
-def _hammer_clients(clients, worker):
-    """Run ``worker(index, errors)`` on ``clients`` threads; returns
-    (wall_seconds, errors)."""
-    errors = []
-    threads = [
-        threading.Thread(target=worker, args=(index, errors), daemon=True)
-        for index in range(clients)
+    return [
+        Bench(
+            "lint_tree",
+            "{} files under {}, {} rules".format(
+                files, "/".join(paths), len(rule_ids)
+            ),
+            "files",
+            [("cold", cold), ("warm", warm)],
+            None if quick else gate,
+        )
     ]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return time.perf_counter() - start, errors
 
 
-def run_service_benchmark(quick=False, workers=2, clients=4):
-    """Concurrent-client service benchmark; returns the results doc."""
-    from repro.experiments.runner import run_experiment
-    from repro.service.client import ServiceClient
-    from repro.service.core import ServiceCore
-    from repro.service.http import ServiceServer
-
-    scale = 0.05
-    seeds = tuple(range(1, 3 if quick else 5))
-    per_client = 25 if quick else 100
-
-    root = tempfile.mkdtemp(prefix="bench-service-")
-    core = ServiceCore(
-        os.path.join(root, "state"),
-        cache_dir=os.path.join(root, "cache"),
-        workers=workers, timeout=300,
-    )
-    server = ServiceServer(core, port=0)
-    server.start()
-    try:
-        client = ServiceClient(server.address, client_id="bench-root")
-
-        # Cold leg: real executions on the worker pool.
-        start = time.perf_counter()
-        job_ids = {}
-        for seed in seeds:
-            status, body = client.submit("figure5", scale=scale, seed=seed)
-            if status != 202:
-                raise AssertionError(
-                    "cold submit bounced: {} {}".format(status, body)
-                )
-            job_ids[seed] = body["job"]
-        results = client.wait_all(list(job_ids.values()), timeout=600)
-        cold_wall = time.perf_counter() - start
-        reference = {
-            seed: run_experiment(
-                "figure5", scale=scale, seed=seed, _warn_seedless=False
-            ).format_report()
-            for seed in seeds
-        }
-        identical = all(
-            results[job_ids[seed]][0] == 200
-            and results[job_ids[seed]][1]["report"] == reference[seed]
-            for seed in seeds
-        )
-
-        # Duplicate-submission leg: pure admission path.  Every request
-        # must join its finished job (200, deduplicated), never rerun it.
-        submit_latencies = []
-
-        def _submitter(index, errors):
-            mine = ServiceClient(
-                server.address, client_id="bench-{}".format(index)
-            )
-            for i in range(per_client):
-                seed = seeds[(index + i) % len(seeds)]
-                begin = time.perf_counter()
-                status, body = mine.submit("figure5", scale=scale, seed=seed)
-                submit_latencies.append(time.perf_counter() - begin)
-                if status != 200 or not body.get("deduplicated"):
-                    errors.append(
-                        "duplicate submit: {} {}".format(status, body)
-                    )
-                    return
-
-        submit_wall, submit_errors = _hammer_clients(clients, _submitter)
-
-        # Warm-result leg: concurrent fetches of memoized reports.
-        fetch_latencies = []
-
-        def _fetcher(index, errors):
-            mine = ServiceClient(
-                server.address, client_id="bench-{}".format(index)
-            )
-            for i in range(per_client):
-                seed = seeds[(index + i) % len(seeds)]
-                begin = time.perf_counter()
-                status, body = mine.job_result(job_ids[seed])
-                fetch_latencies.append(time.perf_counter() - begin)
-                if status != 200:
-                    errors.append(
-                        "warm fetch: {} {}".format(status, body)
-                    )
-                    return
-
-        fetch_wall, fetch_errors = _hammer_clients(clients, _fetcher)
-
-        status, stats = client.stats()
-        executed = stats.get("executed", -1) if status == 200 else -1
-        errors = submit_errors + fetch_errors
-        all_identical = (
-            identical and not errors and executed == len(seeds)
-        )
-        requests = clients * per_client
-        return {
-            "benchmark": "repro.bench --service",
-            "quick": quick,
-            "python": platform.python_version(),
-            "platform": _platform_info(),
-            "workers": workers,
-            "clients": clients,
-            "requests_per_client": per_client,
-            "cold": {
-                "jobs": len(seeds),
-                "wall_seconds": round(cold_wall, 4),
-                "identical": identical,
-            },
-            "submissions": {
-                "total": requests,
-                "wall_seconds": round(submit_wall, 4),
-                "per_second": round(requests / submit_wall, 1),
-                "p50_ms": _percentile_ms(submit_latencies, 0.50),
-                "p95_ms": _percentile_ms(submit_latencies, 0.95),
-            },
-            "warm_results": {
-                "total": requests,
-                "wall_seconds": round(fetch_wall, 4),
-                "per_second": round(requests / fetch_wall, 1),
-                "p50_ms": _percentile_ms(fetch_latencies, 0.50),
-                "p95_ms": _percentile_ms(fetch_latencies, 0.95),
-            },
-            "executed": executed,
-            "duplicate_executions": max(0, executed - len(seeds)),
-            "errors": errors[:5],
-            "all_identical": all_identical,
-        }
-    finally:
-        server.drain(timeout=30.0)
-        shutil.rmtree(root, ignore_errors=True)
+#: name -> ``build(quick, jobs, workdir) -> [Bench, ...]``; ``workdir``
+#: is a scratch directory removed after the run.
+REGISTRY = {
+    "kernel": _kernel_benches,
+    "campaign": _campaign_benches,
+    "batch": _batch_benches,
+    "analytic": _analytic_benches,
+    "lint": _lint_benches,
+}
 
 
-def _print_service(results):
-    print("service: {} clients x {} requests ({} workers)".format(
-        results["clients"], results["requests_per_client"],
-        results["workers"],
+def _print_report(report):
+    print("{} ({}, best of {}, {} cpus)".format(
+        report["benchmark"], "quick" if report["quick"] else "full",
+        report["repeats"], report["platform"]["cpu_count"],
     ))
-    print("  cold jobs   {:>8.3f}s  ({} jobs) identical={}".format(
-        results["cold"]["wall_seconds"], results["cold"]["jobs"],
-        "yes" if results["cold"]["identical"] else "NO",
-    ))
-    print(
-        "  submit      {:>8.1f}/s  p50={}ms p95={}ms "
-        "(duplicates joined, {} extra executions)".format(
-            results["submissions"]["per_second"],
-            results["submissions"]["p50_ms"],
-            results["submissions"]["p95_ms"],
-            results["duplicate_executions"],
-        )
-    )
-    print("  warm fetch  {:>8.1f}/s  p50={}ms p95={}ms".format(
-        results["warm_results"]["per_second"],
-        results["warm_results"]["p50_ms"],
-        results["warm_results"]["p95_ms"],
-    ))
-    for error in results["errors"]:
-        print("  error: {}".format(error))
-
-
-def _print_campaign(results):
-    print("campaign: {} tasks x {} cycles (jobs={}, {} cpus)".format(
-        results["tasks"], results["cycles_per_task"], results["jobs"],
-        results["cpus"],
-    ))
-    print("  serial      {:>8.3f}s".format(
-        results["serial"]["wall_seconds"]))
-    print("  pooled      {:>8.3f}s  {:>5.2f}x  identical={}".format(
-        results["pooled"]["wall_seconds"],
-        results["pooled"]["speedup_vs_serial"],
-        "yes" if results["pooled"]["identical"] else "NO",
-    ))
-    print("  cache cold  {:>8.3f}s  ({} stores)".format(
-        results["cache_cold"]["wall_seconds"],
-        results["cache_cold"]["stats"]["stores"],
-    ))
-    print("  cache warm  {:>8.3f}s  ({:.1%} of cold, {} hits) identical={}".format(
-        results["cache_warm"]["wall_seconds"],
-        results["cache_warm"]["fraction_of_cold"],
-        results["cache_warm"]["stats"]["hits"],
-        "yes" if results["cache_warm"]["identical"] else "NO",
-    ))
-    chaos = results.get("chaos")
-    if chaos:
-        print(
-            "  chaos       {:>8.3f}s  ({} kills at rate {:.2f}, "
-            "{} workers) identical={}".format(
-                chaos["wall_seconds"],
-                chaos["workers_killed"],
-                chaos["rate"],
-                chaos["workers_spawned"],
-                "yes" if chaos["identical"] else "NO",
-            )
-        )
-
-
-def _print_table(results):
-    header = "{:<18} {:>10} {:>12} {:>12} {:>8} {:>8} {:>6}".format(
-        "scenario", "cycles", "dense c/s", "fast c/s", "skip%", "speedup",
-        "match",
+    header = "{:<24} {:<13} {:>10} {:>14} {:>9} {:>6}  {}".format(
+        "bench / leg", "work", "wall s", "rate /s", "speedup", "match",
+        "counters",
     )
     print(header)
     print("-" * len(header))
-    for entry in results["scenarios"]:
-        print(
-            "{:<18} {:>10} {:>12} {:>12} {:>7.1f}% {:>7.2f}x {:>6}".format(
-                entry["name"],
-                entry["cycles_per_system"] * entry["systems"],
-                entry["dense"]["cycles_per_second"],
-                entry["fast"]["cycles_per_second"],
-                entry["fast"]["skipped_fraction"] * 100.0,
-                entry["speedup"],
-                "yes" if entry["identical"] else "NO",
+    for result in report["results"]:
+        print("{}  ({})".format(result["name"], result["description"]))
+        for leg in result["legs"]:
+            counters = " ".join(
+                "{}={}".format(key, value)
+                for key, value in leg["work"].items()
+                if key != result["unit"]
             )
-        )
+            match = {True: "yes", False: "NO", None: "-"}[leg["identical"]]
+            print("  {:<22} {:>7} {:<5} {:>10.3f} {:>14.1f} {:>8.2f}x "
+                  "{:>6}  {}".format(
+                      leg["name"], leg["work"][result["unit"]],
+                      result["unit"], leg["wall_seconds"],
+                      leg["per_second"], leg["speedup"], match, counters,
+                  ))
+        for reason in result["failures"]:
+            print("  FAIL: {}".format(reason))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Benchmark the fast-path kernel against the dense "
-        "reference and verify bit-identical results.",
+        description="Time each engine fast path against its reference "
+        "and fail unless the results are identical.",
+    )
+    parser.add_argument(
+        "name", nargs="?", default="kernel", choices=sorted(REGISTRY),
+        help="which benchmark to run (default: %(default)s)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="shortened cycle counts for CI smoke runs",
-    )
-    parser.add_argument(
-        "--output",
-        default=DEFAULT_OUTPUT,
-        help="where to write the JSON report (default: %(default)s)",
+        help="shortened workloads for CI smoke runs",
     )
     parser.add_argument(
         "--repeats",
         type=int,
         default=3,
-        help="timed repeats per mode; best wall time is kept "
+        help="timed repeats per leg; best wall time is kept "
         "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--campaign",
-        action="store_true",
-        help="benchmark the campaign engine (serial vs pooled vs "
-        "warm-cache) instead of the kernel",
     )
     parser.add_argument(
         "--jobs",
         type=int,
         default=4,
-        help="worker pool size for --campaign / --service "
-        "(default: %(default)s)",
+        help="worker processes for campaign's pooled leg and analytic's "
+        "validation sweep (default: %(default)s)",
     )
     parser.add_argument(
-        "--campaign-output",
-        default=DEFAULT_CAMPAIGN_OUTPUT,
-        help="where --campaign writes its JSON report "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help="benchmark the DSE service (submission throughput and "
-        "warm-cache hit latency under concurrent clients) instead of "
-        "the kernel",
-    )
-    parser.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        help="concurrent clients for --service (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--service-output",
-        default=DEFAULT_SERVICE_OUTPUT,
-        help="where --service writes its JSON report "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="benchmark the vectorized batch engine (repro.vector) "
-        "against per-lane dense scalar runs on the saturated Table 1 "
-        "sweep; requires numpy (pip install .[vector])",
-    )
-    parser.add_argument(
-        "--batch-output",
-        default=DEFAULT_BATCH_OUTPUT,
-        help="where --batch writes its JSON report (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--block-size",
-        type=int,
-        default=32,
-        metavar="N",
-        help="with --batch: LFSR samples pre-drawn per refill block "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--analytic",
-        action="store_true",
-        help="benchmark the analytic surrogate (repro.analytic): "
-        "cross-validate it against the simulator at the calibration "
-        "settings and time it against the vector engine; any error-"
-        "bound violation fails the run",
-    )
-    parser.add_argument(
-        "--analytic-output",
-        default=DEFAULT_ANALYTIC_OUTPUT,
-        help="where --analytic writes its JSON report "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--lint",
-        action="store_true",
-        help="benchmark the incremental linter (repro.lint) on the "
-        "repo tree: cold vs fully-warm vs parallel runs must produce "
-        "byte-identical findings and the warm run must clear the "
-        "{:.0f}x speedup target".format(_LINT_WARM_SPEEDUP_TARGET),
-    )
-    parser.add_argument(
-        "--lint-output",
-        default=DEFAULT_LINT_OUTPUT,
-        help="where --lint writes its JSON report "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--chaos-rate",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="with --campaign: also time the campaign under seeded "
-        "worker kills at this per-dispatch rate and verify the rows "
-        "stay identical to serial (default: off)",
+        "--output",
+        help="where to write the JSON report (default: {})".format(
+            OUTPUT_TEMPLATE.format("<NAME>")
+        ),
     )
     args = parser.parse_args(argv)
-    if not 0.0 <= args.chaos_rate <= 1.0:
-        parser.error("--chaos-rate must be within [0, 1]")
-    if args.chaos_rate and not args.campaign:
-        parser.error("--chaos-rate requires --campaign")
-    if sum((args.service, args.campaign, args.batch, args.analytic,
-            args.lint)) > 1:
-        parser.error("--service, --campaign, --batch, --analytic and "
-                     "--lint are mutually exclusive")
-    if args.clients < 1:
-        parser.error("--clients must be >= 1")
-    if args.block_size < 1:
-        parser.error("--block-size must be >= 1")
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
 
-    if args.lint:
-        results = run_lint_benchmark(
-            quick=args.quick, repeats=args.repeats, jobs=args.jobs
-        )
-        _print_lint(results)
-        output = args.lint_output
-        failure = ("FAIL: warm or parallel lint diverged from the cold "
-                   "run, or the warm run missed the {:.0f}x speedup "
-                   "target".format(_LINT_WARM_SPEEDUP_TARGET))
-    elif args.analytic:
-        results = run_analytic_benchmark(
-            quick=args.quick, repeats=args.repeats, jobs=args.jobs
-        )
-        _print_analytic(results)
-        output = args.analytic_output
-        failure = ("FAIL: surrogate exceeded its checked-in error "
-                   "bounds or missed the {}x speedup target".format(
-                       int(_ANALYTIC_SPEEDUP_TARGET)))
-    elif args.batch:
-        results = run_batch_benchmark(
-            quick=args.quick, repeats=args.repeats,
-            block_size=args.block_size,
-        )
-        _print_batch(results)
-        output = args.batch_output
-        failure = ("FAIL: vectorized batch engine diverged from the "
-                   "dense scalar reference")
-    elif args.service:
-        results = run_service_benchmark(
-            quick=args.quick, workers=args.jobs, clients=args.clients
-        )
-        _print_service(results)
-        output = args.service_output
-        failure = ("FAIL: service served non-identical reports or "
-                   "re-executed deduplicated jobs")
-    elif args.campaign:
-        results = run_campaign_benchmark(
-            quick=args.quick, jobs=args.jobs, chaos_rate=args.chaos_rate
-        )
-        _print_campaign(results)
-        output = args.campaign_output
-        failure = "FAIL: pooled or cached campaign diverged from serial"
-    else:
-        results = run_benchmarks(quick=args.quick, repeats=args.repeats)
-        _print_table(results)
-        output = args.output
-        failure = "FAIL: fast path diverged from the dense reference"
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as workdir:
+        specs = REGISTRY[args.name](args.quick, args.jobs, workdir)
+        results = [run_bench(spec, args.repeats) for spec in specs]
+    report = {
+        "benchmark": args.name,
+        "quick": args.quick,
+        "repeats": args.repeats,
+        "jobs": args.jobs,
+        "platform": _platform_info(),
+        "results": results,
+        "ok": all(result["ok"] for result in results),
+    }
+    _print_report(report)
 
+    output = args.output or OUTPUT_TEMPLATE.format(args.name)
     out_dir = os.path.dirname(output)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     with open(output, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=False)
+        json.dump(report, handle, indent=2)
         handle.write("\n")
     print("\nwrote {}".format(output))
 
-    if not results["all_identical"]:
-        print(failure, file=sys.stderr)
+    if not report["ok"]:
+        print("FAIL: {} — see the FAIL lines above".format(args.name),
+              file=sys.stderr)
         return 1
     return 0
 

@@ -507,14 +507,17 @@ class _PoolWorker:
         self.terminate()
 
     def terminate(self):
-        if not self.process.is_alive():
-            self.process.join(timeout=0.1)
-            return
-        self.process.terminate()
-        self.process.join(timeout=2.0)
+        """SIGKILL the worker and reap it.
+
+        Not SIGTERM: a worker forked inside :meth:`Supervisor.run`
+        inherits the drain handler (kept so a process-group SIGTERM
+        drains instead of killing in-flight tasks), which would swallow
+        it.  A worker's default SIGTERM action runs no Python cleanup
+        either, so SIGKILL loses nothing.
+        """
         if self.process.is_alive():
             self.process.kill()
-            self.process.join()
+        self.process.join()
 
 
 class WorkerPool:

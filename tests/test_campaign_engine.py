@@ -185,7 +185,7 @@ def test_pool_timeout_kills_hung_worker():
     )
     start = time.monotonic()
     outcomes = supervisor.run([TaskSpec("hangs")])
-    assert time.monotonic() - start < 10
+    assert time.monotonic() - start < 1.5
     assert outcomes["hangs"].status == "failed"
     assert "timed out" in outcomes["hangs"].error
 

@@ -130,29 +130,3 @@ def test_bad_backend_name_is_rejected():
         run_replicated_testbed(
             "lottery-static", "T8", list(WEIGHTS), backend="gpu"
         )
-
-
-def test_quick_batch_benchmark_is_identical():
-    pytest.importorskip("numpy")
-    from repro import bench
-
-    # Shrink the workload: the full quick bench is CI-sized, not
-    # unit-test-sized.
-    original = bench._batch_lane_specs
-
-    def tiny_specs(quick):
-        specs, _ = original(True)
-        # A static-priority slice plus a static-lottery slice (the
-        # latter exercises the shared lookup-table cache).
-        return specs[:6] + specs[24:30], 400
-
-    bench._batch_lane_specs = tiny_specs
-    try:
-        results = bench.run_batch_benchmark(quick=True, repeats=1)
-    finally:
-        bench._batch_lane_specs = original
-    assert results["all_identical"]
-    assert results["lanes"] == 12
-    assert results["mismatched_lanes"] == []
-    assert results["platform"]["machine"]
-    assert results["vector"]["lookup_table_cache"]["builds"] >= 1
